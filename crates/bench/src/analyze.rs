@@ -10,8 +10,8 @@
 //! matching the paper's call for "anonymized and aggregated metrics for
 //! workload comparisons offsite".
 
-use serde::{Deserialize, Serialize};
 use swim_core::workload::WorkloadAnalysis;
+use swim_obs::json::{self, Value};
 use swim_synth::datagen::DataGenPlan;
 use swim_synth::sample::{sample_windows, SampleConfig};
 use swim_synth::scaledown::{scale_trace, ScaleConfig, ScaleMode};
@@ -27,7 +27,7 @@ const EXPORT_QUANTILES: [f64; 7] = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
 pub type JobTypeRow = (u64, u64, u64, u64, u64, u64, u64, String);
 
 /// The anonymized, aggregated metrics document for offsite sharing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SharedMetrics {
     /// Workload label (operator-chosen; not derived from job content).
     pub workload: String,
@@ -117,14 +117,50 @@ impl SharedMetrics {
         }
     }
 
-    /// Serialize to pretty JSON.
+    /// Serialize to pretty JSON (two-space indent), keys in field order;
+    /// tuples are arrays and absent options are `null`.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("metrics are serializable")
+        let opt = |v: Option<f64>| v.map_or(Value::Null, Value::F64);
+        let floats = |fs: &[f64]| Value::Array(fs.iter().map(|&f| Value::F64(f)).collect());
+        let (jb, jt, bt) = self.correlations;
+        let quantiles = self.size_quantiles.iter();
+        let quantiles = quantiles.map(|&(p, i, s, o)| floats(&[p, i, s, o]));
+        let job_types = self.job_types.iter().map(|(n, i, s, o, d, m, r, label)| {
+            let mut row: Vec<_> = [n, i, s, o, d, m, r].map(|v| Value::U64(*v)).into();
+            row.push(Value::Str(label));
+            Value::Array(row)
+        });
+        let shares = self.framework_job_shares.iter();
+        let shares = shares.map(|(f, s)| Value::Array(vec![Value::Str(f), Value::F64(*s)]));
+        let doc = Value::Object(vec![
+            ("workload", Value::Str(&self.workload)),
+            ("jobs", Value::U64(self.jobs as u64)),
+            ("length_hours", Value::F64(self.length_hours)),
+            ("bytes_moved", Value::U64(self.bytes_moved)),
+            ("size_quantiles", Value::Array(quantiles.collect())),
+            ("input_zipf_slope", opt(self.input_zipf_slope)),
+            ("locality_within_6h", Value::F64(self.locality_within_6h)),
+            (
+                "frac_jobs_reaccessing",
+                Value::F64(self.frac_jobs_reaccessing),
+            ),
+            ("peak_to_median", opt(self.peak_to_median)),
+            ("correlations", floats(&[jb, jt, bt])),
+            (
+                "diurnal_detected",
+                self.diurnal_detected.map_or(Value::Null, Value::Bool),
+            ),
+            ("job_types", Value::Array(job_types.collect())),
+            ("framework_job_shares", Value::Array(shares.collect())),
+        ]);
+        let mut out = String::new();
+        json::write(&mut out, &doc, true);
+        out
     }
 }
 
 /// A synthesized, scaled-down benchmark bundle derived from a trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthBundle {
     /// Replay schedule.
     pub replay: ReplayPlan,
@@ -151,6 +187,52 @@ pub fn synthesize_bundle(trace: &Trace, target_machines: u32, seed: u64) -> Synt
         replay: ReplayPlan::from_trace(&scaled),
         datagen: DataGenPlan::from_trace(&scaled, DataSize::from_mb(128)),
         validation_worst_ks: report.worst(),
+    }
+}
+
+impl SynthBundle {
+    /// Serialize to compact JSON: `{"replay":{…},"datagen":{…},
+    /// "validation_worst_ks":…}`, every key in field order.
+    pub fn to_json(&self) -> String {
+        let jobs = self.replay.jobs.iter().map(|job| {
+            Value::Object(vec![
+                ("gap", Value::U64(job.gap.secs())),
+                ("input", Value::U64(job.input.bytes())),
+                ("shuffle", Value::U64(job.shuffle.bytes())),
+                ("output", Value::U64(job.output.bytes())),
+                ("map_task_time", Value::U64(job.map_task_time.secs())),
+                ("reduce_task_time", Value::U64(job.reduce_task_time.secs())),
+                ("map_tasks", Value::U64(job.map_tasks.into())),
+                ("reduce_tasks", Value::U64(job.reduce_tasks.into())),
+            ])
+        });
+        let files = self.datagen.files.iter().map(|file| {
+            Value::Object(vec![
+                ("path", Value::U64(file.path.0)),
+                ("size", Value::U64(file.size.bytes())),
+            ])
+        });
+        let doc = Value::Object(vec![
+            (
+                "replay",
+                Value::Object(vec![
+                    ("name", Value::Str(&self.replay.name)),
+                    ("machines", Value::U64(self.replay.machines.into())),
+                    ("jobs", Value::Array(jobs.collect())),
+                ]),
+            ),
+            (
+                "datagen",
+                Value::Object(vec![
+                    ("files", Value::Array(files.collect())),
+                    ("block_size", Value::U64(self.datagen.block_size.bytes())),
+                ]),
+            ),
+            ("validation_worst_ks", Value::F64(self.validation_worst_ks)),
+        ]);
+        let mut out = String::new();
+        json::write(&mut out, &doc, false);
+        out
     }
 }
 
@@ -207,15 +289,6 @@ mod tests {
                 .collect();
             assert!(series.windows(2).all(|w| w[0] <= w[1] + 1e-9));
         }
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let analysis = WorkloadAnalysis::of(&sample_trace());
-        let m = SharedMetrics::from_analysis(&analysis);
-        let back: SharedMetrics = serde_json::from_str(&m.to_json()).unwrap();
-        assert_eq!(back.jobs, m.jobs);
-        assert_eq!(back.job_types.len(), m.job_types.len());
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //! by the first word of their names, classify the originating framework,
 //! and weight groups by job count, total I/O, and total task-time.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use swim_trace::{Framework, Trace};
 
 /// How one first-word group weighs in a workload, under the three Fig. 10
 /// weightings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WordGroup {
     /// The first word ("insert", "piglatin", "ad", …).
     pub word: String,
@@ -23,7 +22,7 @@ pub struct WordGroup {
 }
 
 /// Full name analysis for one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NameAnalysis {
     /// Groups sorted by job count, descending.
     pub groups: Vec<WordGroup>,
@@ -153,7 +152,7 @@ impl NameAnalysis {
 }
 
 /// Per-framework normalized shares.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameworkShare {
     /// The framework.
     pub framework: Framework,
@@ -166,7 +165,7 @@ pub struct FrameworkShare {
 }
 
 /// The three Fig. 10 weightings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Weighting {
     /// Weight groups by number of jobs (Fig. 10 top).
     Jobs,

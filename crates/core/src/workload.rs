@@ -10,11 +10,10 @@ use crate::locality::LocalityStats;
 use crate::names::NameAnalysis;
 use crate::stats::Ecdf;
 use crate::timeseries::{HourlySeries, SeriesCorrelations};
-use serde::{Deserialize, Serialize};
 use swim_trace::{Trace, TraceSummary};
 
 /// Knobs for a full-workload analysis run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisConfig {
     /// Maximum k explored by the elbow rule.
     pub max_k: usize,
@@ -46,7 +45,7 @@ impl Default for AnalysisConfig {
 }
 
 /// Results of the full characterization of one trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadAnalysis {
     /// Table 1 row.
     pub summary: TraceSummary,
@@ -208,12 +207,5 @@ mod tests {
     fn empty_trace_rejected() {
         let t = Trace::new(WorkloadKind::Custom("e".into()), 1, vec![]).unwrap();
         WorkloadAnalysis::of(&t);
-    }
-
-    #[test]
-    fn analysis_serializes_to_json() {
-        let a = WorkloadAnalysis::of(&mixed_trace());
-        let s = serde_json::to_string(&a).unwrap();
-        assert!(s.contains("\"summary\""));
     }
 }

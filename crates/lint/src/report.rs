@@ -6,6 +6,8 @@ use swim_report::render::Table;
 use swim_report::{Block, KeyValueBlock, Report, Section};
 
 use crate::LintResult;
+use std::fmt::Write as _;
+use swim_obs::json;
 
 /// Build the typed report document (text and markdown render from it).
 pub fn to_report(result: &LintResult) -> Report {
@@ -74,23 +76,6 @@ pub fn render_markdown(result: &LintResult) -> String {
     swim_report::markdown::render_report(&to_report(result))
 }
 
-/// Escape a string for JSON output.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Fixed-shape JSON: one finding/waiver per line, keys in a stable
 /// order, entries pre-sorted by the engine — byte-stable for a given
 /// workspace state, which is what the CI golden diff pins.
@@ -119,31 +104,23 @@ pub fn render_json(result: &LintResult) -> String {
 
     out.push_str("  \"findings\": [\n");
     for (k, f) in result.findings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{}\n",
-            f.rule.id(),
-            esc(&f.file),
-            f.line,
-            esc(&f.message),
-            if k + 1 < result.findings.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
+        let _ = write!(out, "    {{\"rule\": \"{}\", \"file\": ", f.rule.id());
+        json::write_str(&mut out, &f.file);
+        let _ = write!(out, ", \"line\": {}, \"message\": ", f.line);
+        json::write_str(&mut out, &f.message);
+        let more = k + 1 < result.findings.len();
+        out.push_str(if more { "},\n" } else { "}\n" });
     }
     out.push_str("  ],\n");
 
     out.push_str("  \"waivers\": [\n");
     for (k, w) in result.waived.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"reason\": \"{}\"}}{}\n",
-            w.rule.id(),
-            esc(&w.file),
-            w.line,
-            esc(&w.reason),
-            if k + 1 < result.waived.len() { "," } else { "" }
-        ));
+        let _ = write!(out, "    {{\"rule\": \"{}\", \"file\": ", w.rule.id());
+        json::write_str(&mut out, &w.file);
+        let _ = write!(out, ", \"line\": {}, \"reason\": ", w.line);
+        json::write_str(&mut out, &w.reason);
+        let more = k + 1 < result.waived.len();
+        out.push_str(if more { "},\n" } else { "}\n" });
     }
     out.push_str("  ]\n");
     out.push_str("}\n");

@@ -2,9 +2,8 @@
 //!
 //! One JSON object per line, one line per instrument, so the bench
 //! harness can append successive snapshots to a single file and grep /
-//! parse them without a streaming JSON parser. Serialization is
-//! hand-rolled (this crate has no dependencies): names are the only
-//! strings and get full JSON escaping.
+//! parse them without a streaming JSON parser. Names are the only
+//! strings and go through the shared escaper in [`crate::json`].
 //!
 //! Line shapes:
 //!
@@ -15,32 +14,15 @@
 //! {"type":"span","path":"query.execute","count":1,"total_ns":123,"min_ns":123,"max_ns":123}
 //! ```
 
+use std::fmt::Write as _;
 use std::io::Write as _;
 
+use crate::json;
 use crate::registry::Snapshot;
 
 /// Environment variable naming the JSONL sink file. When set, CLIs
 /// append their final snapshot to it via [`append_env`].
 pub const SINK_ENV: &str = "SWIM_OBS_JSONL";
-
-/// Escape a string into a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 fn opt(v: Option<u64>) -> String {
     v.map_or_else(|| "null".to_owned(), |v| v.to_string())
@@ -51,23 +33,21 @@ fn opt(v: Option<u64>) -> String {
 pub fn to_jsonl(snapshot: &Snapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snapshot.counters {
-        out.push_str(&format!(
-            "{{\"type\":\"counter\",\"name\":{},\"value\":{}}}\n",
-            json_string(name),
-            value
-        ));
+        out.push_str("{\"type\":\"counter\",\"name\":");
+        json::write_str(&mut out, name);
+        let _ = writeln!(out, ",\"value\":{value}}}");
     }
     for (name, value) in &snapshot.gauges {
-        out.push_str(&format!(
-            "{{\"type\":\"gauge\",\"name\":{},\"value\":{}}}\n",
-            json_string(name),
-            value
-        ));
+        out.push_str("{\"type\":\"gauge\",\"name\":");
+        json::write_str(&mut out, name);
+        let _ = writeln!(out, ",\"value\":{value}}}");
     }
     for h in &snapshot.histograms {
-        out.push_str(&format!(
-            "{{\"type\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}\n",
-            json_string(&h.name),
+        out.push_str("{\"type\":\"histogram\",\"name\":");
+        json::write_str(&mut out, &h.name);
+        let _ = writeln!(
+            out,
+            ",\"count\":{},\"sum\":{},\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
             h.count,
             h.sum,
             opt(h.min),
@@ -75,17 +55,16 @@ pub fn to_jsonl(snapshot: &Snapshot) -> String {
             opt(h.p90),
             opt(h.p99),
             opt(h.max),
-        ));
+        );
     }
     for s in &snapshot.spans {
-        out.push_str(&format!(
-            "{{\"type\":\"span\",\"path\":{},\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}\n",
-            json_string(&s.path),
-            s.count,
-            s.total_ns,
-            s.min_ns,
-            s.max_ns,
-        ));
+        out.push_str("{\"type\":\"span\",\"path\":");
+        json::write_str(&mut out, &s.path);
+        let _ = writeln!(
+            out,
+            ",\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
+            s.count, s.total_ns, s.min_ns, s.max_ns,
+        );
     }
     out
 }
@@ -161,8 +140,14 @@ mod tests {
 
     #[test]
     fn json_strings_escape_specials() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        let snap = Snapshot {
+            counters: vec![("a\"b\\c\n\u{1}".to_owned(), 1)],
+            ..Snapshot::default()
+        };
+        assert_eq!(
+            to_jsonl(&snap),
+            "{\"type\":\"counter\",\"name\":\"a\\\"b\\\\c\\n\\u0001\",\"value\":1}\n"
+        );
     }
 
     #[test]

@@ -41,6 +41,12 @@
 //! * [`Snapshot::delta`] — difference two snapshots to turn lifetime
 //!   counters into rates (`swim-top`'s polling primitive).
 //!
+//! The crate also owns the workspace's one JSON codec, [`json`]: the
+//! string escaper every JSON renderer shares, the writer behind the
+//! trace JSON-lines and `swim-analyze` exports, and a depth-bounded
+//! reader. It lives here, at the dependency floor, so any layer can use
+//! it without a new edge.
+//!
 //! ```
 //! use swim_obs::{set_enabled, snapshot, Counter, METRICS};
 //!
@@ -57,6 +63,7 @@
 
 pub mod clock;
 pub mod flight;
+pub mod json;
 pub mod jsonl;
 pub mod metrics;
 pub mod registry;

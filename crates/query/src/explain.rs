@@ -20,6 +20,7 @@
 use crate::plan::{plan, Plan, Query};
 use crate::QueryError;
 use swim_catalog::Catalog;
+use swim_obs::json;
 use swim_report::doc::KeyValueBlock;
 use swim_report::render::Table;
 use swim_report::{markdown, Block, Report, Section};
@@ -184,19 +185,6 @@ impl Explain {
 
     /// One JSON object with fixed key order (byte-deterministic).
     pub fn render_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' | '\\' => {
-                        out.push('\\');
-                        out.push(c);
-                    }
-                    _ => out.push(c),
-                }
-            }
-            out
-        }
         fn verdicts(v: &VerdictCounts) -> String {
             format!(
                 "{{\"never\":{},\"always\":{},\"maybe\":{},\"scanned\":{}}}",
@@ -211,7 +199,11 @@ impl Explain {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("[\"{}\",\"{}\"]", escape(step), escape(detail)));
+            out.push('[');
+            json::write_str(&mut out, step);
+            out.push(',');
+            json::write_str(&mut out, detail);
+            out.push(']');
         }
         out.push_str("],\"shards\":");
         match &self.shards {
@@ -223,9 +215,10 @@ impl Explain {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"label\":");
+            json::write_str(&mut out, &store.label);
             out.push_str(&format!(
-                "{{\"label\":\"{}\",\"version\":{},\"jobs\":{},\"verdicts\":{}}}",
-                escape(&store.label),
+                ",\"version\":{},\"jobs\":{},\"verdicts\":{}}}",
                 store.version,
                 store.jobs,
                 verdicts(&store.verdicts)

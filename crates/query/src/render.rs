@@ -4,6 +4,7 @@
 
 use crate::agg::AggValue;
 use crate::exec::QueryOutput;
+use swim_obs::json;
 use swim_report::render::Table;
 use swim_report::{markdown, Block, Report, Section};
 
@@ -62,19 +63,7 @@ pub fn render_json(output: &QueryOutput) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push('"');
-        // Column labels come from expression Display: no quotes or
-        // control characters to escape beyond backslash safety.
-        for ch in c.chars() {
-            match ch {
-                '"' | '\\' => {
-                    out.push('\\');
-                    out.push(ch);
-                }
-                _ => out.push(ch),
-            }
-        }
-        out.push('"');
+        json::write_str(&mut out, c);
     }
     out.push_str("],\"rows\":[");
     for (i, row) in output.rows.iter().enumerate() {

@@ -39,6 +39,7 @@
 //!
 //! [`render_json`]: TelemetrySnapshot::render_json
 
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -46,6 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use swim_obs::clock;
+use swim_obs::json;
 use swim_obs::{WindowSummary, WindowedCounter, WindowedHistogram};
 
 use crate::server::ServerStats;
@@ -97,43 +99,27 @@ pub struct AccessRecord {
 }
 
 impl AccessRecord {
-    /// The JSONL encoding (no trailing newline).
+    /// The JSONL encoding (no trailing newline). The strings are fixed
+    /// tokens today but are escaped anyway, so a hostile request line
+    /// cannot corrupt the log.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"id\":{},\"command\":{},\"generation\":{},\"cached\":{},\"queue_us\":{},\
-             \"execute_us\":{},\"render_us\":{},\"total_us\":{},\"outcome\":{}}}",
-            self.id,
-            json_string(&self.command),
+        let mut out = format!("{{\"id\":{},\"command\":", self.id);
+        json::write_str(&mut out, &self.command);
+        let _ = write!(
+            out,
+            ",\"generation\":{},\"cached\":{},\"queue_us\":{},\"execute_us\":{},\
+             \"render_us\":{},\"total_us\":{},\"outcome\":",
             self.generation,
             u8::from(self.cached),
             self.queue_us,
             self.execute_us,
             self.render_us,
             self.total_us,
-            json_string(&self.outcome),
-        )
+        );
+        json::write_str(&mut out, &self.outcome);
+        out.push('}');
+        out
     }
-}
-
-/// Minimal JSON string encoding (the fields this file writes are fixed
-/// tokens, but escape anyway so a hostile request line cannot corrupt
-/// the log).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Per-instance live telemetry: request ids, windowed rates and
@@ -475,8 +461,14 @@ mod tests {
             "{\"id\":7,\"command\":\"query\",\"generation\":2,\"cached\":1,\"queue_us\":41,\
              \"execute_us\":0,\"render_us\":9,\"total_us\":60,\"outcome\":\"ok\"}"
         );
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        let hostile = AccessRecord {
+            command: "a\"b\\c\nd".into(),
+            outcome: "\u{1}".into(),
+            ..record
+        };
+        let line = hostile.to_json();
+        assert!(line.contains(r#""command":"a\"b\\c\nd""#), "{line}");
+        assert!(line.ends_with(r#""outcome":"\u0001"}"#), "{line}");
     }
 
     #[test]

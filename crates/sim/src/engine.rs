@@ -39,7 +39,6 @@ use crate::event::{Event, EventQueue};
 use crate::hdfs::{Hdfs, HdfsConfig};
 use crate::metrics::{JobOutcome, UtilizationTracker};
 use crate::scheduler::{Scheduler, SchedulerKind};
-use serde::{Deserialize, Serialize};
 #[cfg(test)]
 use swim_synth::ReplayJob;
 use swim_synth::ReplayPlan;
@@ -61,7 +60,7 @@ mod obs {
 }
 
 /// Simulation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Cluster shape.
     pub cluster: ClusterConfig,
@@ -101,7 +100,7 @@ impl SimConfig {
 }
 
 /// Results of one replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Per-job outcomes, in plan order.
     pub outcomes: Vec<JobOutcome>,
@@ -113,12 +112,10 @@ pub struct SimResult {
     pub makespan: Timestamp,
     /// Heap events processed (waves + submissions) — the engine-cost
     /// metric the wave-vs-per-task benchmarks compare.
-    #[serde(default)]
     pub events: u64,
     /// Total slot-seconds integrated over the run. Exactly equal to the
     /// plan's total task-time (wave batching preserves slot-seconds
     /// bit-for-bit).
-    #[serde(default)]
     pub slot_seconds: f64,
 }
 

@@ -2,12 +2,11 @@
 //! replication accounting, and an optional cache tier in front of reads.
 
 use crate::cache::{Cache, CachePolicy, CacheStats};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use swim_trace::{DataSize, PathId, Timestamp};
 
 /// Storage configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HdfsConfig {
     /// Block size (for block counting; default 128 MB).
     pub block_size: DataSize,

@@ -12,11 +12,10 @@
 //! grants slots to instead of scanning every runnable job per event (the
 //! old engine's O(runnable-jobs × events) wall).
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Which scheduling policy the engine uses to pick the next job to serve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Serve runnable jobs strictly in submission order.
     Fifo,

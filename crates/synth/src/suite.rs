@@ -6,11 +6,10 @@
 
 use crate::datagen::DataGenPlan;
 use crate::replay::ReplayPlan;
-use serde::{Deserialize, Serialize};
 use swim_trace::{DataSize, Trace};
 
 /// One suite member: a replay plan plus its data-generation plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteEntry {
     /// Name of the member workload.
     pub name: String,
@@ -21,7 +20,7 @@ pub struct SuiteEntry {
 }
 
 /// A benchmark suite of several workloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkloadSuite {
     /// The members, in insertion order.
     pub entries: Vec<SuiteEntry>,
@@ -123,18 +122,5 @@ mod tests {
         );
         assert_eq!(suite.total_replay_bytes(), DataSize::from_mb(80));
         assert_eq!(suite.total_pregen_bytes(), DataSize::from_mb(80));
-    }
-
-    #[test]
-    fn suite_serializes() {
-        let mut suite = WorkloadSuite::new();
-        suite.add_trace(
-            "a",
-            &tiny_trace(WorkloadKind::CcA, 2),
-            DataSize::from_mb(64),
-        );
-        let s = serde_json::to_string(&suite).unwrap();
-        let back: WorkloadSuite = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, suite);
     }
 }

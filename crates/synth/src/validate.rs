@@ -6,7 +6,6 @@
 //! synthesized workload's per-job distributions should track the
 //! original's. KS distance is the natural non-parametric check.
 
-use serde::{Deserialize, Serialize};
 use swim_trace::Trace;
 
 /// Two-sample Kolmogorov–Smirnov distance: the supremum of the absolute
@@ -43,7 +42,7 @@ pub fn ks_distance(a: &[f64], b: &[f64]) -> Option<f64> {
 }
 
 /// Per-dimension KS distances between an original and a synthesized trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthesisReport {
     /// KS distance on per-job input bytes.
     pub input: f64,

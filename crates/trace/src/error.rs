@@ -23,8 +23,6 @@ pub enum TraceError {
     },
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// JSON (de)serialization failure.
-    Json(serde_json::Error),
     /// A trace-level invariant was violated (e.g. empty trace where at
     /// least one job is required).
     InvalidTrace(String),
@@ -46,7 +44,6 @@ impl fmt::Display for TraceError {
                 write!(f, "parse error at line {line}: {reason}")
             }
             TraceError::Io(e) => write!(f, "i/o error: {e}"),
-            TraceError::Json(e) => write!(f, "json error: {e}"),
             TraceError::InvalidTrace(reason) => write!(f, "invalid trace: {reason}"),
         }
     }
@@ -56,7 +53,6 @@ impl std::error::Error for TraceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceError::Io(e) => Some(e),
-            TraceError::Json(e) => Some(e),
             _ => None,
         }
     }
@@ -65,12 +61,6 @@ impl std::error::Error for TraceError {
 impl From<std::io::Error> for TraceError {
     fn from(e: std::io::Error) -> Self {
         TraceError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for TraceError {
-    fn from(e: serde_json::Error) -> Self {
-        TraceError::Json(e)
     }
 }
 

@@ -5,13 +5,14 @@
 //! ship hashed paths, so no escaping concerns arise; external string paths
 //! should be interned via [`crate::PathInterner`] first).
 
-use crate::job::{Job, JobBuilder};
+use crate::job::{Job, JobBuilder, JobId};
 use crate::path::PathId;
 use crate::size::DataSize;
 use crate::time::{Dur, Timestamp};
 use crate::trace::{Trace, WorkloadKind};
 use crate::TraceError;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use swim_obs::json::{self, Reader, Value};
 
 /// CSV header line for the per-job schema.
 pub const CSV_HEADER: &str = "job_id,name,submit_secs,duration_secs,input_bytes,\
@@ -152,47 +153,188 @@ fn decode_paths(s: &str, lineno: usize) -> Result<Vec<PathId>, TraceError> {
         .collect()
 }
 
+/// Tags of [`WorkloadKind::PAPER_SEVEN`] in JSON-lines metadata; any
+/// other kind is written as `{"Custom":"<label>"}`.
+const KIND_TAGS: [&str; 7] = ["CcA", "CcB", "CcC", "CcD", "CcE", "Fb2009", "Fb2010"];
+
+/// Keys a JSON-lines job record must carry (the paths are optional).
+const REQUIRED: &str = "id name submit duration input shuffle output \
+                        map_task_time reduce_task_time map_tasks reduce_tasks";
+
 /// Write a trace as JSON-lines: one JSON object per job, preceded by a
-/// metadata object (`{"kind": …, "machines": …}`).
+/// metadata object (`{"kind": …, "machines": …}`). Job keys appear in
+/// schema order; `input_paths` / `output_paths` are omitted when empty.
 pub fn write_jsonl<W: Write>(trace: &Trace, writer: W) -> Result<(), TraceError> {
     let mut w = BufWriter::new(writer);
-    let meta = serde_json::json!({
-        "kind": trace.kind,
-        "machines": trace.machines,
-    });
-    serde_json::to_writer(&mut w, &meta)?;
-    writeln!(w)?;
-    for job in trace.jobs() {
-        serde_json::to_writer(&mut w, job)?;
-        writeln!(w)?;
+    let tag = KIND_TAGS
+        .iter()
+        .zip(WorkloadKind::PAPER_SEVEN)
+        .find(|(_, k)| *k == trace.kind);
+    let kind = match tag {
+        Some((tag, _)) => Value::Str(tag),
+        None => Value::Object(vec![("Custom", Value::Str(trace.kind.label()))]),
+    };
+    let meta = Value::Object(vec![
+        ("kind", kind),
+        ("machines", Value::U64(trace.machines.into())),
+    ]);
+    let mut line = String::new();
+    for value in std::iter::once(meta).chain(trace.jobs().iter().map(job_value)) {
+        line.clear();
+        json::write(&mut line, &value, false);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
     }
     w.flush()?;
     Ok(())
 }
 
+fn job_value(job: &Job) -> Value<'_> {
+    let mut fields = vec![
+        ("id", Value::U64(job.id.0)),
+        ("name", Value::Str(&job.name)),
+        ("submit", Value::U64(job.submit.secs())),
+        ("duration", Value::U64(job.duration.secs())),
+        ("input", Value::U64(job.input.bytes())),
+        ("shuffle", Value::U64(job.shuffle.bytes())),
+        ("output", Value::U64(job.output.bytes())),
+        ("map_task_time", Value::U64(job.map_task_time.secs())),
+        ("reduce_task_time", Value::U64(job.reduce_task_time.secs())),
+        ("map_tasks", Value::U64(job.map_tasks.into())),
+        ("reduce_tasks", Value::U64(job.reduce_tasks.into())),
+    ];
+    for (key, paths) in [
+        ("input_paths", &job.input_paths),
+        ("output_paths", &job.output_paths),
+    ] {
+        if !paths.is_empty() {
+            fields.push((
+                key,
+                Value::Array(paths.iter().map(|p| Value::U64(p.0)).collect()),
+            ));
+        }
+    }
+    Value::Object(fields)
+}
+
 /// Read a trace from JSON-lines produced by [`write_jsonl`].
+///
+/// Keys may come in any order with any JSON whitespace, and unknown keys
+/// are skipped whatever their value. The paths default to empty; every
+/// other field is required, and numbers must be exact non-negative
+/// integers. Blank lines are ignored. A malformed line is a
+/// [`TraceError::Parse`] with its 1-based number (the metadata is line 1).
 pub fn read_jsonl<R: Read>(reader: R) -> Result<Trace, TraceError> {
-    let r = BufReader::new(reader);
-    let mut lines = r.lines();
-    let meta_line = lines.next().ok_or_else(|| TraceError::Parse {
+    let mut lines = BufReader::new(reader).split(b'\n');
+    let empty = || TraceError::Parse {
         line: 1,
         reason: "empty stream".into(),
-    })??;
-    #[derive(serde::Deserialize)]
-    struct Meta {
-        kind: WorkloadKind,
-        machines: u32,
-    }
-    let meta: Meta = serde_json::from_str(&meta_line)?;
+    };
+    let (kind, machines) = parse_line(&lines.next().ok_or_else(empty)??, 1, parse_meta)?;
     let mut jobs = Vec::new();
-    for line in lines {
+    for (i, line) in lines.enumerate() {
         let line = line?;
-        if line.trim().is_empty() {
-            continue;
+        if !line.iter().all(u8::is_ascii_whitespace) {
+            jobs.push(parse_line(&line, i + 2, parse_job)?);
         }
-        jobs.push(serde_json::from_str::<Job>(&line)?);
     }
-    Trace::new(meta.kind, meta.machines, jobs)
+    Trace::new(kind, machines, jobs)
+}
+
+/// Parse line number `line` as exactly one JSON value.
+fn parse_line<T>(
+    bytes: &[u8],
+    line: usize,
+    parse: fn(&mut Reader<'_>) -> json::Result<T>,
+) -> Result<T, TraceError> {
+    let located = |reason: String| TraceError::Parse { line, reason };
+    let text = std::str::from_utf8(bytes).map_err(|e| located(format!("invalid UTF-8: {e}")))?;
+    let mut r = Reader::new(text);
+    let value = parse(&mut r).map_err(|e| located(e.to_string()))?;
+    r.finish().map_err(|e| located(e.to_string()))?;
+    Ok(value)
+}
+
+fn parse_meta(r: &mut Reader<'_>) -> json::Result<(WorkloadKind, u32)> {
+    let (mut kind, mut machines) = (None, None);
+    r.object(|r, key| match key {
+        "kind" => parse_kind(r).map(|k| kind = Some(k)),
+        "machines" => read_u32(r).map(|n| machines = Some(n)),
+        _ => r.skip(),
+    })?;
+    let kind = kind.ok_or_else(|| r.error("missing field `kind`"))?;
+    Ok((
+        kind,
+        machines.ok_or_else(|| r.error("missing field `machines`"))?,
+    ))
+}
+
+/// A `"CcB"`-style tag, or `{"Custom":"<label>"}` with no other key.
+fn parse_kind(r: &mut Reader<'_>) -> json::Result<WorkloadKind> {
+    if r.peek() == Some(b'"') {
+        let tag = r.string()?;
+        let known = KIND_TAGS
+            .iter()
+            .zip(WorkloadKind::PAPER_SEVEN)
+            .find(|(t, _)| **t == tag);
+        return known
+            .map(|(_, kind)| kind)
+            .ok_or_else(|| r.error(format!("unknown workload kind `{tag}`")));
+    }
+    let mut label = None;
+    r.object(|r, key| match (key, &label) {
+        ("Custom", None) => r.string().map(|s| label = Some(s)),
+        _ => Err(r.error(format!("unexpected workload kind key `{key}`"))),
+    })?;
+    label
+        .map(WorkloadKind::Custom)
+        .ok_or_else(|| r.error("empty workload kind"))
+}
+
+fn parse_job(r: &mut Reader<'_>) -> json::Result<Job> {
+    let mut job = JobBuilder::new(0).build_unchecked();
+    let mut seen = 0u32;
+    r.object(|r, key| {
+        if let Some(i) = REQUIRED.split_whitespace().position(|k| k == key) {
+            seen |= 1 << i;
+        }
+        match key {
+            "id" => job.id = JobId(r.u64()?),
+            "name" => job.name = r.string()?,
+            "submit" => job.submit = Timestamp::from_secs(r.u64()?),
+            "duration" => job.duration = Dur::from_secs(r.u64()?),
+            "input" => job.input = DataSize::from_bytes(r.u64()?),
+            "shuffle" => job.shuffle = DataSize::from_bytes(r.u64()?),
+            "output" => job.output = DataSize::from_bytes(r.u64()?),
+            "map_task_time" => job.map_task_time = Dur::from_secs(r.u64()?),
+            "reduce_task_time" => job.reduce_task_time = Dur::from_secs(r.u64()?),
+            "map_tasks" => job.map_tasks = read_u32(r)?,
+            "reduce_tasks" => job.reduce_tasks = read_u32(r)?,
+            "input_paths" => job.input_paths = read_paths(r)?,
+            "output_paths" => job.output_paths = read_paths(r)?,
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    match REQUIRED
+        .split_whitespace()
+        .enumerate()
+        .find(|(i, _)| seen & (1 << i) == 0)
+    {
+        Some((_, key)) => Err(r.error(format!("missing field `{key}`"))),
+        None => Ok(job),
+    }
+}
+
+fn read_u32(r: &mut Reader<'_>) -> json::Result<u32> {
+    let n = r.u64()?;
+    u32::try_from(n).map_err(|_| r.error(format!("{n} does not fit in u32")))
+}
+
+fn read_paths(r: &mut Reader<'_>) -> json::Result<Vec<PathId>> {
+    let mut paths = Vec::new();
+    r.array(|r| r.u64().map(|n| paths.push(PathId(n))))?;
+    Ok(paths)
 }
 
 /// Serialize a trace to a CSV string (convenience).
@@ -286,7 +428,100 @@ mod tests {
 
     #[test]
     fn jsonl_rejects_empty_stream() {
-        assert!(read_jsonl(&b""[..]).is_err());
+        let r = read_jsonl(&b""[..]);
+        assert!(matches!(r, Err(TraceError::Parse { line: 1, .. })), "{r:?}");
+    }
+
+    /// A valid job line with input paths.
+    const VALID_JOB: &str = r#"{"id":7,"name":"n","submit":1,"duration":2,"input":3,"shuffle":0,"output":4,"map_task_time":5,"reduce_task_time":0,"map_tasks":1,"reduce_tasks":0,"input_paths":[1,2]}"#;
+
+    fn doc_with_job(job: &str) -> String {
+        format!("{{\"kind\":\"CcA\",\"machines\":10}}\n{job}\n")
+    }
+
+    /// The line and reason of a `read_jsonl` failure.
+    fn jsonl_error(doc: &str) -> (usize, String) {
+        match read_jsonl(doc.as_bytes()) {
+            Err(TraceError::Parse { line, reason }) => (line, reason),
+            other => panic!("expected a parse error for {doc:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn jsonl_accepts_any_key_order_whitespace_and_unknown_keys() {
+        let doc = concat!(
+            " { \"machines\" : 3 , \"extra\": [1, {\"x\": null}], \"kind\": {\"Custom\": \"k\"} }\n",
+            "\n",
+            "{\"reduce_tasks\":0,\"map_tasks\":1,\"reduce_task_time\":0,\"map_task_time\":5,",
+            "\"output\":4,\"shuffle\":0,\"input\":3,\"duration\":2,\"submit\":1,",
+            "\"name\":\"n\\u00e9\\ud83d\\ude00\",\"new_field\":{\"deep\":[[[\"s\",true,-1.5e3]]]},\"id\":7}\r\n",
+        );
+        let trace = read_jsonl(doc.as_bytes()).unwrap();
+        assert_eq!(trace.kind, WorkloadKind::Custom("k".into()));
+        assert_eq!(trace.machines, 3);
+        let job = &trace.jobs()[0];
+        assert_eq!(job.name, "n\u{e9}\u{1F600}");
+        assert!(job.input_paths.is_empty() && job.output_paths.is_empty());
+        let with_paths = read_jsonl(doc_with_job(VALID_JOB).as_bytes()).unwrap();
+        assert_eq!(with_paths.jobs()[0].input_paths, vec![PathId(1), PathId(2)]);
+    }
+
+    #[test]
+    fn jsonl_deep_nesting_is_a_located_error() {
+        let deep = VALID_JOB.replace(
+            "\"id\"",
+            &format!("\"junk\":{},\"id\"", "[".repeat(300_000)),
+        );
+        let (line, reason) = jsonl_error(&doc_with_job(&deep));
+        assert_eq!(line, 2);
+        assert!(reason.contains("nesting"), "{reason}");
+    }
+
+    #[test]
+    fn jsonl_truncated_job_line_is_an_error_at_every_offset() {
+        for cut in 1..VALID_JOB.len() {
+            let (line, _) = jsonl_error(&doc_with_job(&VALID_JOB[..cut]));
+            assert_eq!(line, 2, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn jsonl_rejects_bad_strings_and_numbers() {
+        let cases = [
+            ("\"name\":\"n\"", r#""name":"bad \x escape""#),
+            ("\"name\":\"n\"", r#""name":"lone \ud83d high""#),
+            ("\"name\":\"n\"", r#""name":"lone \ude00 low""#),
+            ("\"id\":7", r#""id":18446744073709551616"#),
+            ("\"input\":3", r#""input":-3"#),
+            ("\"input\":3", r#""input":1.5"#),
+            ("\"input\":3", r#""input":3e2"#),
+            ("\"map_tasks\":1", r#""map_tasks":4294967296"#),
+            ("\"name\":\"n\"", r#""name":5"#),
+            ("\"id\":7", r#""id":"7""#),
+            ("\"input_paths\":[1,2]", r#""input_paths":[1,"2"]"#),
+        ];
+        for (from, to) in cases {
+            let job = VALID_JOB.replace(from, to);
+            assert_ne!(job, VALID_JOB, "{to} did not apply");
+            let (line, reason) = jsonl_error(&doc_with_job(&job));
+            assert_eq!(line, 2, "{to}: {reason}");
+        }
+        let (_, reason) = jsonl_error(&doc_with_job(&VALID_JOB.replace("\"id\":7,", "")));
+        assert!(reason.contains("missing field `id`"), "{reason}");
+        let (_, reason) = jsonl_error(&doc_with_job(&format!("{VALID_JOB} x")));
+        assert!(reason.contains("trailing characters"), "{reason}");
+        let (line, _) = jsonl_error("{\"kind\":\"CcZ\",\"machines\":1}\n");
+        assert_eq!(line, 1);
+        let (line, _) = jsonl_error("{\"kind\":\"CcA\"}\n");
+        assert_eq!(line, 1);
+    }
+
+    #[test]
+    fn jsonl_error_reports_the_offending_line() {
+        let good = VALID_JOB.replace("\"id\":7", "\"id\":8");
+        let bad = VALID_JOB.replace("\"map_tasks\":1", "\"map_tasks\":true");
+        let doc = format!("{}{bad}\n", doc_with_job(&good));
+        assert_eq!(jsonl_error(&doc).0, 3);
     }
 
     #[test]

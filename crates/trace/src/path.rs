@@ -7,7 +7,6 @@
 //! `PathId`s directly.
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -16,8 +15,7 @@ use std::sync::Arc;
 ///
 /// `PathId(u64)` rather than a string: the paper's traces ship hashed paths,
 /// and identity is all the data-access analysis (§4) consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PathId(pub u64);
 
 impl PathId {

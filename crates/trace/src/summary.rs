@@ -4,10 +4,9 @@
 use crate::size::DataSize;
 use crate::time::Dur;
 use crate::trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Per-workload summary, one row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSummary {
     /// Workload label ("CC-a", "FB-2009", …).
     pub workload: String,

@@ -7,11 +7,10 @@ use crate::size::DataSize;
 use crate::summary::TraceSummary;
 use crate::time::{Dur, Timestamp, WEEK};
 use crate::TraceError;
-use serde::{Deserialize, Serialize};
 
 /// Identifies which of the paper's seven workloads a trace models, or a
 /// custom workload.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// Cloudera customer A (e-commerce; <100 machines, 1 month, 2011).
     CcA,
@@ -65,7 +64,7 @@ impl std::fmt::Display for WorkloadKind {
 }
 
 /// An ordered (by submit time) collection of jobs plus workload metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Which workload this trace represents.
     pub kind: WorkloadKind,

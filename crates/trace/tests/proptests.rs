@@ -1,5 +1,5 @@
-//! Property tests for the trace substrate: codec round-trips, container
-//! invariants, and newtype arithmetic.
+//! Property tests for the trace substrate: codec round-trips and
+//! totality, container invariants, and newtype arithmetic.
 
 use proptest::prelude::*;
 use swim_trace::io;
@@ -58,6 +58,26 @@ proptest! {
         io::write_jsonl(&trace, &mut buf).unwrap();
         let back = io::read_jsonl(&buf[..]).unwrap();
         prop_assert_eq!(back, trace);
+    }
+
+    /// The JSON-lines reader is total: a valid document with bytes
+    /// overwritten (by JSON punctuation or arbitrary bytes) and possibly
+    /// truncated reads back as `Ok` or `Err`, never a panic.
+    #[test]
+    fn read_jsonl_never_panics_on_mutated_input(
+        trace in arb_trace(),
+        edits in prop::collection::vec((any::<u64>(), any::<u8>(), any::<bool>()), 1..8),
+        cut in any::<u64>(),
+    ) {
+        const PUNCT: &[u8] = b"[]{}\",:\\u0189-.eE \n";
+        let mut doc = Vec::new();
+        io::write_jsonl(&trace, &mut doc).unwrap();
+        for (pos, byte, punct) in edits {
+            let at = (pos % doc.len() as u64) as usize;
+            doc[at] = if punct { PUNCT[usize::from(byte) % PUNCT.len()] } else { byte };
+        }
+        doc.truncate((cut % (doc.len() as u64 + 1)) as usize);
+        let _ = io::read_jsonl(&doc[..]);
     }
 
     #[test]

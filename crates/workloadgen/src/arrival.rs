@@ -18,12 +18,11 @@
 use crate::dist::{poisson, Exponential, LogNormal};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use swim_trace::time::HOUR;
 use swim_trace::Timestamp;
 
 /// Parameters of one workload's arrival process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalModel {
     /// Mean jobs per hour over the whole trace.
     pub jobs_per_hour: f64,

@@ -23,12 +23,11 @@
 
 use crate::dist::Zipf;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use swim_trace::{DataSize, PathId, Timestamp};
 
 /// Locality/popularity parameters for one workload's file accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessModel {
     /// Probability that a job's input re-reads a pre-existing *input* file
     /// (Fig. 6 light bars).

@@ -10,7 +10,6 @@
 
 use crate::dist::{Categorical, LogNormal};
 use rand::Rng;
-use serde::Serialize;
 use swim_trace::{DataSize, Dur};
 
 /// Default within-cluster ln-space spread. A sigma of 0.8 spans roughly a
@@ -27,7 +26,7 @@ pub const REDUCE_CHUNK: u64 = 1_000_000_000;
 /// One Table 2 row: a job-type cluster centroid and its population count.
 // `label` is a `&'static str` into the calibrated tables, so this type is
 // serialize-only (deserializing into a 'static borrow is not possible).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobTypeProfile {
     /// Cluster population (the `# Jobs` column).
     pub count: u64,
