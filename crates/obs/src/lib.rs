@@ -167,4 +167,83 @@ mod tests {
         set_enabled(0);
         assert!(!enabled(ALL));
     }
+
+    // The JSON codec through its public surface: documents written by
+    // `json::write` and read back by `json::Reader`.
+
+    fn read_all<'t>(
+        text: &'t str,
+        walk: impl FnOnce(&mut json::Reader<'t>) -> json::Result,
+    ) -> json::Result {
+        let mut r = json::Reader::new(text);
+        walk(&mut r)?;
+        r.finish()
+    }
+
+    #[test]
+    fn u64_full_range() {
+        let mut out = String::new();
+        json::write(&mut out, &json::Value::U64(u64::MAX), false);
+        assert_eq!(out, "18446744073709551615");
+        let read = |t: &str| json::Reader::new(t).u64();
+        assert_eq!(read(&out).unwrap(), u64::MAX);
+        assert_eq!(read(" 0").unwrap(), 0);
+        for bad in ["18446744073709551616", "1.5", "1e3", "1.0", "x", ""] {
+            assert!(read(bad).is_err(), "{bad} should be rejected");
+        }
+    }
+
+    #[test]
+    fn signed_negatives() {
+        let mut out = String::new();
+        json::write(&mut out, &json::Value::F64(-5.0), false);
+        assert_eq!(out, "-5.0");
+        for text in ["-5", "-1", "-5.0", "-2.5e3"] {
+            let err = json::Reader::new(text).u64().unwrap_err();
+            assert_eq!(err.offset, 0, "{text}");
+            read_all(text, json::Reader::skip).unwrap();
+        }
+        for bad in ["-", "-x", "--1", "-.5"] {
+            assert!(
+                read_all(bad, json::Reader::skip).is_err(),
+                "{bad} should be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn array_round_trip() {
+        let items = [0, 7, u64::MAX];
+        for pretty in [false, true] {
+            let mut out = String::new();
+            let doc = json::Value::Array(items.iter().map(|&n| json::Value::U64(n)).collect());
+            json::write(&mut out, &doc, pretty);
+            let mut back = Vec::new();
+            read_all(&out, |r| r.array(|r| r.u64().map(|n| back.push(n)))).unwrap();
+            assert_eq!(back, items);
+        }
+        let mut back = Vec::new();
+        read_all("[]", |r| r.array(|r| r.u64().map(|n| back.push(n)))).unwrap();
+        assert!(back.is_empty());
+    }
+
+    #[test]
+    fn nested_containers() {
+        let text = r#" {"a": [1, 2, {"b": null}], "c": "x", "d": [] } "#;
+        let (mut nums, mut c) = (Vec::new(), String::new());
+        read_all(text, |r| {
+            r.object(|r, key| match key {
+                "a" => r.array(|r| match r.peek() {
+                    Some(b'{') => r.skip(),
+                    _ => r.u64().map(|n| nums.push(n)),
+                }),
+                "c" => r.string().map(|s| c = s),
+                _ => r.skip(),
+            })
+        })
+        .unwrap();
+        assert_eq!((nums, c.as_str()), (vec![1, 2], "x"));
+        let deep = r#"{"a": [1, -2.5e3, "s", true, false, null, {"b": {}}], "c": []}"#;
+        read_all(deep, json::Reader::skip).unwrap();
+    }
 }
