@@ -47,6 +47,12 @@
 //! reader. It lives here, at the dependency floor, so any layer can use
 //! it without a new edge.
 //!
+//! [`par`] is the workspace's one parallel fan-out: scoped workers that
+//! claim indices from a shared counter. It lives here for the same
+//! reason, and next to [`mod@span`]: spans are thread-local today, so a
+//! worker's spans start at the root, and carrying the caller's span
+//! context into workers is a change to this one module.
+//!
 //! ```
 //! use swim_obs::{set_enabled, snapshot, Counter, METRICS};
 //!
@@ -66,6 +72,7 @@ pub mod flight;
 pub mod json;
 pub mod jsonl;
 pub mod metrics;
+pub mod par;
 pub mod registry;
 pub mod span;
 pub mod window;
@@ -166,6 +173,37 @@ mod tests {
         assert!(enabled(ALL), "any-bit semantics");
         set_enabled(0);
         assert!(!enabled(ALL));
+    }
+
+    // The parallel fan-out through its public surface.
+
+    #[test]
+    fn scope_joins_and_returns() {
+        let data = [1u64, 2, 3, 4];
+        let chunks: Vec<&[u64]> = data.chunks(2).collect();
+        let sums = par::map(2, chunks.len(), |i| chunks[i].iter().sum::<u64>());
+        assert_eq!(sums, [3, 7]);
+        let partials = par::fold(
+            2,
+            data.len(),
+            || Ok::<u64, ()>(0),
+            |acc, i| Ok(acc + data[i]),
+        )
+        .unwrap();
+        assert_eq!(partials.into_iter().sum::<u64>(), 10);
+    }
+
+    #[test]
+    fn nested_spawn_through_scope_arg() {
+        // An outer fan-out whose workers each run an inner one, the
+        // shape of a federated query fanning out over shards whose
+        // stores fan out over chunks.
+        let totals = par::map(3, 4, |outer| {
+            par::map(2, 5, |inner| outer * 10 + inner)
+                .into_iter()
+                .sum::<usize>()
+        });
+        assert_eq!(totals, [10, 60, 110, 160]);
     }
 
     // The JSON codec through its public surface: documents written by

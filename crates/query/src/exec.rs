@@ -2,7 +2,8 @@
 //! tables, deterministic finalization.
 //!
 //! Both entry points — [`execute`] (parallel, worker-claimed chunk
-//! indices via [`Store::par_fold_columns`]) and [`execute_serial`] — run
+//! indices via [`Store::par_fold_columns`], which fans out on
+//! [`swim_obs::par::fold`]) and [`execute_serial`] — run
 //! the *same* per-chunk fold and the *same* finalization, and every
 //! accumulator merge is exact and order-insensitive, so the two produce
 //! bit-identical [`QueryOutput`]s (pinned by tests and proptests).
@@ -231,9 +232,10 @@ pub(crate) fn stats_for(p: &crate::plan::Plan) -> ExecStats {
     }
 }
 
-/// Execute in parallel: workers claim planned chunk indices off a shared
-/// counter ([`Store::par_fold_columns`]) and per-worker group tables are
-/// merged exactly. Bit-identical to [`execute_serial`].
+/// Execute in parallel: workers claim planned chunk indices
+/// ([`Store::par_fold_columns`] on [`swim_obs::par::fold`]) and
+/// per-worker group tables are merged exactly. Bit-identical to
+/// [`execute_serial`].
 pub fn execute(store: &Store, query: &Query) -> Result<QueryOutput, QueryError> {
     let _span = swim_obs::span("query.execute");
     query.validate()?;

@@ -9,12 +9,13 @@
 //! 2. for surviving shards, against the store's per-chunk zone maps,
 //!    exactly as single-store execution does.
 //!
-//! Execution fans surviving shards out over worker-claimed indices (the
-//! same claim-a-counter pattern as [`swim_store::Store::par_fold_columns`])
-//! and folds every chunk into the *same* accumulator type as single-store
-//! execution; merges are exact and order-insensitive and finalization is
-//! shared, so [`CatalogQuery::execute`], [`CatalogQuery::execute_serial`],
-//! and a single-store query over the concatenated trace all produce
+//! Execution fans surviving shards out over worker-claimed indices
+//! ([`swim_obs::par::fold`], the fan-out behind
+//! [`swim_store::Store::par_fold_columns`] too) and folds every chunk
+//! into the *same* accumulator type as single-store execution; merges
+//! are exact and order-insensitive and finalization is shared, so
+//! [`CatalogQuery::execute`], [`CatalogQuery::execute_serial`], and a
+//! single-store query over the concatenated trace all produce
 //! bit-identical rows (property-tested).
 //!
 //! Decoded shards are served from the catalog's `(shard, generation)`
@@ -24,7 +25,6 @@
 use crate::exec::{fold_chunk, merge_acc, stats_for, Acc, ExecStats, QueryOutput};
 use crate::plan::{plan, Query};
 use crate::{QueryError, Tri};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use swim_catalog::Catalog;
 
 /// A finished federated query: the ordinary [`QueryOutput`] plus
@@ -63,8 +63,9 @@ impl CatalogOutput {
 /// Federated execution over a catalog — implemented for
 /// [`swim_catalog::Catalog`], so call sites read `catalog.execute(&query)`.
 pub trait CatalogQuery {
-    /// Execute in parallel: workers claim surviving shard indices off a
-    /// shared counter. Bit-identical to [`CatalogQuery::execute_serial`].
+    /// Execute in parallel: workers ([`swim_obs::par::fold`]) claim
+    /// surviving shard indices. Bit-identical to
+    /// [`CatalogQuery::execute_serial`].
     fn execute(&self, query: &Query) -> Result<CatalogOutput, QueryError>;
 
     /// Execute on the calling thread, shards in manifest order — the
@@ -162,53 +163,22 @@ impl CatalogQuery for Catalog {
                 ExecStats::default(),
             ));
         }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(selected.len());
-        let cursor = AtomicUsize::new(0);
-        let selected_ref = &selected;
-        let worker_results: Vec<Result<(Option<Acc>, ExecStats), QueryError>> =
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut merged: Option<Acc> = None;
-                            let mut stats = ExecStats::default();
-                            loop {
-                                // lint: ordering: work-stealing cursor; slot handoff is via scoped-thread join
-                                let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(&idx) = selected_ref.get(slot) else {
-                                    break;
-                                };
-                                let (acc, shard_stats) = fold_shard(self, idx, query)?;
-                                add_stats(&mut stats, shard_stats);
-                                merged = Some(match merged {
-                                    None => acc,
-                                    Some(mut m) => {
-                                        merge_acc(&mut m, acc);
-                                        m
-                                    }
-                                });
-                            }
-                            Ok((merged, stats))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // lint: allow(panic, "re-raises a worker panic; join only fails if the closure panicked")
-                    .map(|h| h.join().expect("federated worker panicked"))
-                    .collect()
-            });
+        let workers = swim_obs::par::fold(
+            swim_obs::par::available_threads(),
+            selected.len(),
+            || Ok::<_, QueryError>((Acc::new(), ExecStats::default())),
+            |(mut acc, mut stats), slot| {
+                let (shard_acc, shard_stats) = fold_shard(self, selected[slot], query)?;
+                add_stats(&mut stats, shard_stats);
+                merge_acc(&mut acc, shard_acc);
+                Ok((acc, stats))
+            },
+        )?;
         let mut acc = Acc::new();
         let mut stats = ExecStats::default();
-        for result in worker_results {
-            let (worker_acc, worker_stats) = result?;
+        for (worker_acc, worker_stats) in workers {
             add_stats(&mut stats, worker_stats);
-            if let Some(worker_acc) = worker_acc {
-                merge_acc(&mut acc, worker_acc);
-            }
+            merge_acc(&mut acc, worker_acc);
         }
         Ok(finalize_catalog(self, query, &selected, acc, stats))
     }
@@ -474,6 +444,39 @@ mod tests {
             catalog.execute(&Query::new()),
             Err(QueryError::Invalid(_))
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_truncated_shard_is_a_typed_error_serial_and_parallel() {
+        let dir = temp_dir("truncated");
+        let mut catalog = Catalog::init(&dir).unwrap();
+        let options = CatalogOptions {
+            jobs_per_shard: 10_000,
+            store: StoreOptions { jobs_per_chunk: 37 },
+        };
+        for (shard, base) in [(0u64, 0u64), (1, 500_000)] {
+            let shard_jobs = jobs(shard * 1000..shard * 1000 + 1000, base);
+            let trace = Trace::new(WorkloadKind::Custom("fed".into()), 9, shard_jobs).unwrap();
+            catalog.ingest_trace(&trace, &options).unwrap();
+        }
+        // Cut the second shard file in half: its trailer is gone, so
+        // opening it fails the footer check.
+        let victim = dir.join(&catalog.shards()[1].file);
+        let len = std::fs::metadata(&victim).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&victim)
+            .unwrap()
+            .set_len(len / 2)
+            .unwrap();
+
+        for query in &queries() {
+            let parallel = catalog.execute(query).unwrap_err();
+            let serial = catalog.execute_serial(query).unwrap_err();
+            assert!(matches!(parallel, QueryError::Catalog(_)), "{parallel}");
+            assert_eq!(parallel.to_string(), serial.to_string());
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

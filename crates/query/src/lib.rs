@@ -23,8 +23,9 @@
 //!    [`swim_store::format::columns::NumericColumns`]; expressions
 //!    evaluate column-at-a-time over borrowed slices, and names/paths are
 //!    never decoded (they are not addressable from a query at all).
-//! 3. **Deterministic parallelism** — workers claim chunk indices off a
-//!    shared counter ([`swim_store::Store::par_fold_columns`]); every
+//! 3. **Deterministic parallelism** — workers claim chunk indices
+//!    through [`swim_obs::par::fold`] (behind
+//!    [`swim_store::Store::par_fold_columns`]); every
 //!    accumulator merge is exact and order-insensitive (counts, saturating
 //!    `u64` sums, extrema, sorted-at-finalize percentile samples), and
 //!    finalization sorts groups canonically, so [`execute`] and

@@ -17,9 +17,9 @@
 //! 3. **Comparison pipeline** ([`battery`], [`compare`]) — load N traces
 //!    (CSV, JSON-lines, or `swim-store`), run every figure/table
 //!    experiment per trace in parallel (workers claim trace × experiment
-//!    cells from a shared counter, so results are deterministic and
-//!    bit-identical to serial runs), and emit one trace×metric comparison
-//!    table per experiment with per-trace sparklines.
+//!    cells through [`swim_obs::par::map`], so results are deterministic
+//!    and bit-identical to serial runs), and emit one trace×metric
+//!    comparison table per experiment with per-trace sparklines.
 //!
 //! The `swim-report` binary is the CLI:
 //!

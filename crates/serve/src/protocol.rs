@@ -28,7 +28,9 @@
 //! `overloaded` (admission control rejected the connection),
 //! `internal` (execution failed or a worker panicked), `busy` (an
 //! admin command timed out waiting for in-flight readers — retryable),
-//! and `shutdown` (the server is draining). The framing is
+//! and `shutdown` (the server is draining). A request line longer than
+//! [`MAX_REQUEST_LINE`] bytes is answered with `bad_request` and the
+//! connection is closed. The framing is
 //! deliberately trivial to parse from any language — or by a human in
 //! `nc`.
 
@@ -36,6 +38,12 @@ use std::io::{self, BufRead, Write};
 
 /// Protocol magic: the first token of every response header.
 pub const PROTOCOL_NAME: &str = "swim-serve";
+
+/// Longest request line the server accepts, in bytes, not counting the
+/// `\n`. Real requests are a few hundred bytes; the cap only stops a
+/// client that never sends a newline from growing a worker's buffer
+/// without bound.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Closed set of error kinds a response can carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

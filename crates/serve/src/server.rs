@@ -32,7 +32,7 @@
 //! the threads.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -538,8 +538,20 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, queue_us: u64) {
     let mut first_request = true;
     loop {
         buf.clear();
-        if !read_request_line(shared, &mut reader, &mut buf) {
-            return;
+        match read_request_line(shared, &mut reader, &mut buf) {
+            LineRead::Line => {}
+            LineRead::Closed => return,
+            LineRead::TooLong => {
+                let _ = protocol::write_error(
+                    &mut stream,
+                    ErrorKind::BadRequest,
+                    &format!(
+                        "request line longer than {} bytes",
+                        protocol::MAX_REQUEST_LINE
+                    ),
+                );
+                return;
+            }
         }
         let line_text = String::from_utf8_lossy(&buf);
         let line = line_text.trim();
@@ -621,25 +633,33 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, queue_us: u64) {
     }
 }
 
+/// What [`read_request_line`] found.
+enum LineRead {
+    /// A line (possibly unterminated at EOF) is in the buffer.
+    Line,
+    /// The line ran past [`protocol::MAX_REQUEST_LINE`] bytes.
+    TooLong,
+    /// The connection is done: clean EOF, I/O error, or shutdown drain.
+    Closed,
+}
+
 /// Accumulate one `\n`-terminated line into `buf`, polling the shutdown
-/// flag across read timeouts. Returns `false` when the connection is
-/// done (clean EOF, I/O error, or shutdown drain).
+/// flag across read timeouts. Reads at most one byte past
+/// [`protocol::MAX_REQUEST_LINE`], so `buf` stays bounded.
 fn read_request_line(
     shared: &Shared,
     reader: &mut BufReader<TcpStream>,
     buf: &mut Vec<u8>,
-) -> bool {
+) -> LineRead {
     loop {
-        match reader.read_until(b'\n', buf) {
-            // EOF: serve a final unterminated line if one accumulated.
-            Ok(0) => return !buf.is_empty(),
-            Ok(_) => {
-                if buf.ends_with(b"\n") {
-                    return true;
-                }
-                // read_until returned without a delimiter: EOF mid-line.
-                return !buf.is_empty();
-            }
+        let room = (protocol::MAX_REQUEST_LINE + 1).saturating_sub(buf.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', buf) {
+            Ok(_) if buf.ends_with(b"\n") => return LineRead::Line,
+            Ok(_) if buf.len() > protocol::MAX_REQUEST_LINE => return LineRead::TooLong,
+            // EOF, mid-line or not: serve a final unterminated line if
+            // one accumulated.
+            Ok(_) if buf.is_empty() => return LineRead::Closed,
+            Ok(_) => return LineRead::Line,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -648,11 +668,11 @@ fn read_request_line(
             {
                 // Partial bytes read before the timeout stay in `buf`.
                 if shared.is_shutting_down() {
-                    return false;
+                    return LineRead::Closed;
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
+            Err(_) => return LineRead::Closed,
         }
     }
 }

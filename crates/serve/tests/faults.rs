@@ -5,7 +5,7 @@
 
 mod support;
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::time::Duration;
 
 use swim_serve::protocol::{self, ErrorKind};
@@ -106,6 +106,62 @@ fn panics_and_dropped_connections_leave_no_leaks() {
     let resp = support::request(addr, "ping");
     assert!(resp.ok);
     assert_eq!(resp.body_text(), "pong\n");
+
+    handle.shutdown_join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A client that streams past the request-line cap without a newline
+/// gets a typed `bad_request` and is disconnected; the server reads no
+/// more of the line and keeps serving other connections.
+#[test]
+fn overlong_request_line_is_rejected_and_the_server_keeps_serving() {
+    let dir = support::temp_dir("long-line");
+    let cat_dir = dir.join("cat.d");
+    drop(support::init_catalog(&cat_dir, 100));
+    let handle = serve(
+        &cat_dir,
+        ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = handle.addr();
+
+    let mut stream = support::connect(addr);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // Twice the cap, no newline. Writes may start failing once the
+    // server has answered and hung up; that is the point.
+    let flood = vec![b'q'; 2 * protocol::MAX_REQUEST_LINE];
+    for piece in flood.chunks(4096) {
+        if stream.write_all(piece).is_err() {
+            break;
+        }
+    }
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let resp = protocol::read_response(&mut reader).unwrap();
+    assert!(!resp.ok);
+    assert_eq!(resp.kind, Some(ErrorKind::BadRequest));
+    assert!(
+        resp.body_text().contains("request line longer than"),
+        "{}",
+        resp.body_text()
+    );
+    // The server closed the connection: EOF (or a reset, since the
+    // rest of the flood went unread), never a second response.
+    let mut byte = [0u8; 1];
+    match reader.read(&mut byte) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("connection still open after bad_request: {other:?}"),
+    }
+    drop((stream, reader));
+
+    let resp = support::request(addr, "query --select count");
+    assert!(resp.ok, "{}", resp.body_text());
 
     handle.shutdown_join();
     std::fs::remove_dir_all(&dir).ok();

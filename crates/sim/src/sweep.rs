@@ -6,16 +6,15 @@
 //! questions ("would a fair scheduler help?", "how much cache is
 //! enough?", "could half the nodes carry this load?"). A single
 //! simulation is embarrassingly independent of the next, so a grid of
-//! them parallelizes perfectly: workers claim scenario indices from a
-//! shared counter and results land in grid order, making the output
-//! deterministic and independent of thread scheduling.
+//! them parallelizes perfectly: workers claim scenario indices through
+//! [`swim_obs::par::map`] and results land in grid order, making the
+//! output deterministic and independent of thread scheduling.
 
 use crate::cache::CachePolicy;
 use crate::cluster::ClusterConfig;
 use crate::engine::{SimConfig, SimResult, Simulator};
 use crate::hdfs::HdfsConfig;
 use crate::scheduler::SchedulerKind;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use swim_synth::ReplayPlan;
 use swim_trace::{DataSize, PathId};
 
@@ -106,62 +105,24 @@ pub struct SweepCell {
 impl Simulator {
     /// Replay `plan` under every scenario of `grid` in parallel.
     ///
-    /// Workers claim scenarios from a shared counter (like swim-store's
-    /// `par_scan`), so thread count and scheduling never affect which
-    /// scenario computes what; results are returned in grid order and
-    /// are bit-identical to running each scenario serially.
+    /// Workers claim scenarios through [`swim_obs::par::map`] (the
+    /// fan-out behind swim-store's `par_scan` too), so thread count and
+    /// scheduling never affect which scenario computes what; results are
+    /// returned in grid order and are bit-identical to running each
+    /// scenario serially.
     pub fn sweep(
         grid: &ScenarioGrid,
         plan: &ReplayPlan,
         input_paths: Option<&[PathId]>,
     ) -> Vec<SweepCell> {
         let configs = grid.configs();
-        if configs.is_empty() {
-            return Vec::new();
-        }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(configs.len());
-        let cursor = AtomicUsize::new(0);
-        let (configs_ref, cursor_ref) = (&configs, &cursor);
-        let mut slots: Vec<Option<SimResult>> = vec![None; configs.len()];
-        let indexed: Vec<(usize, SimResult)> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(move |_| {
-                        let mut mine: Vec<(usize, SimResult)> = Vec::new();
-                        loop {
-                            // lint: ordering: work-stealing cursor; results travel via scope join
-                            let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                            let Some(config) = configs_ref.get(i) else {
-                                break;
-                            };
-                            mine.push((i, Simulator::new(*config).run(plan, input_paths)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(panic, "re-raises a worker panic; join only fails if the closure panicked")
-                .flat_map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        })
-        // lint: allow(panic, "crossbeam scope errors only when a child thread panicked")
-        .expect("sweep scope");
-        for (i, result) in indexed {
-            slots[i] = Some(result);
-        }
+        let results = swim_obs::par::map(swim_obs::par::available_threads(), configs.len(), |i| {
+            Simulator::new(configs[i]).run(plan, input_paths)
+        });
         configs
             .into_iter()
-            .zip(slots)
-            .map(|(config, result)| SweepCell {
-                config,
-                // lint: allow(panic, "the cursor hands every index to exactly one worker, so every slot is filled")
-                result: result.expect("every scenario claimed exactly once"),
-            })
+            .zip(results)
+            .map(|(config, result)| SweepCell { config, result })
             .collect()
     }
 }

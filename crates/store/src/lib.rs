@@ -379,6 +379,42 @@ mod tests {
     }
 
     #[test]
+    fn a_damaged_chunk_fails_serial_and_parallel_folds_alike() {
+        let options = StoreOptions {
+            jobs_per_chunk: 128,
+        };
+        let mut bytes = store_to_vec(&varied_trace(2_000), &options);
+        // Overwrite one mid-file chunk's magic. The index and footer stay
+        // intact, so the store opens and only reading that chunk fails.
+        let healthy = Store::from_vec(bytes.clone()).unwrap();
+        let at = healthy.chunk_meta()[healthy.chunk_count() / 2].offset as usize;
+        bytes[at..at + 4].copy_from_slice(b"XXXX");
+        let store = Store::from_vec(bytes).unwrap();
+
+        let all: Vec<usize> = (0..store.chunk_count()).collect();
+        let count =
+            |n: u64, _idx: usize, cols: &format::columns::NumericColumns| n + cols.len() as u64;
+        let errors = [
+            store.fold_columns(&all, 0, count).unwrap_err(),
+            store
+                .par_fold_columns(&all, || 0, count, |a, b| a + b)
+                .unwrap_err(),
+            store.par_summary().unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(
+                    err,
+                    StoreError::Corrupt {
+                        context: "bad chunk magic"
+                    }
+                ),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn compression_beats_csv_on_size() {
         let trace = varied_trace(5_000);
         let bytes = store_to_vec(&trace, &StoreOptions::default());

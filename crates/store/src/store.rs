@@ -7,7 +7,6 @@ use crate::StoreError;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use swim_trace::trace::WorkloadKind;
 use swim_trace::{DataSize, Dur, Job, Timestamp, Trace, TraceSummary};
@@ -390,9 +389,9 @@ impl Store {
     }
 
     /// Parallel fold over an explicit set of chunks (by index) as numeric
-    /// column projections: workers claim indices off a shared counter,
-    /// decode with their own read handle, and fold into per-worker
-    /// accumulators that are combined with `merge`. Visit order is
+    /// column projections: workers ([`swim_obs::par::fold`]) claim
+    /// indices, decode with their own read handle, and fold into
+    /// per-worker accumulators that are combined with `merge`. Visit order is
     /// unspecified, so `fold`/`merge` must be order-insensitive for the
     /// result to match [`Store::fold_columns`].
     pub fn par_fold_columns<T, I, F, M>(
@@ -490,11 +489,12 @@ impl Store {
 
     /// Parallel fold over all chunks.
     ///
-    /// Workers claim chunks from a shared counter, decode them with their
-    /// own read handle, and fold jobs with `fold`; per-worker accumulators
-    /// are combined with `merge`. Chunk visit order is unspecified, so
-    /// `fold`/`merge` must compute an order-insensitive result (sums,
-    /// counts, extrema — everything the §4/§5 statistics need).
+    /// Workers ([`swim_obs::par::fold`]) claim chunks, decode them with
+    /// their own read handle, and fold jobs with `fold`; per-worker
+    /// accumulators are combined with `merge`. Chunk visit order is
+    /// unspecified, so `fold`/`merge` must compute an order-insensitive
+    /// result (sums, counts, extrema — everything the §4/§5 statistics
+    /// need).
     pub fn par_scan<T, I, F, M>(&self, init: I, fold: F, merge: M) -> Result<T, StoreError>
     where
         T: Send,
@@ -594,9 +594,10 @@ impl Store {
         )
     }
 
-    /// Shared worker pool: claims the given chunk indices off a counter,
-    /// hands each chunk's raw payload to `fold_payload`, merges per-worker
-    /// accumulators.
+    /// Shared parallel fold: workers ([`swim_obs::par::fold`]) claim the
+    /// given chunk indices, each reading through its own handle, hand
+    /// each chunk's raw payload to `fold_payload`, and their accumulators
+    /// are combined with `merge`.
     fn par_fold_payloads<T, I, FP, M>(
         &self,
         selected: &[usize],
@@ -613,53 +614,23 @@ impl Store {
         if selected.is_empty() {
             return Ok(init());
         }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(selected.len());
-        let cursor = AtomicUsize::new(0);
-        let (init, fold_payload) = (&init, &fold_payload);
-        let worker_results: Vec<Result<T, StoreError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| -> Result<T, StoreError> {
-                        let mut handle = self.new_handle()?;
-                        let mut acc = init();
-                        loop {
-                            // lint: ordering: work-stealing cursor; chunk handoff is via scoped-thread join
-                            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&idx) = selected.get(slot) else {
-                                break;
-                            };
-                            assert!(idx < self.chunks.len(), "chunk index out of range");
-                            let (job_count, block) = self.read_block_with(&mut handle, idx)?;
-                            acc = fold_payload(
-                                acc,
-                                idx,
-                                job_count,
-                                &block[format::CHUNK_HEADER_LEN..],
-                            )?;
-                        }
-                        Ok(acc)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(panic, "re-raises a worker panic; join only fails if the closure panicked")
-                .map(|h| h.join().expect("par_scan worker panicked"))
-                .collect()
-        });
-        let mut merged: Option<T> = None;
-        for result in worker_results {
-            let value = result?;
-            merged = Some(match merged {
-                None => value,
-                Some(acc) => merge(acc, value),
-            });
-        }
-        // lint: allow(panic, "threads >= 1 and selected is non-empty, so one worker always reports")
-        Ok(merged.expect("at least one worker"))
+        let workers = swim_obs::par::fold(
+            swim_obs::par::available_threads(),
+            selected.len(),
+            || Ok::<_, StoreError>((self.new_handle()?, init())),
+            |(mut handle, acc), slot| {
+                let idx = selected[slot];
+                assert!(idx < self.chunks.len(), "chunk index out of range");
+                let (job_count, block) = self.read_block_with(&mut handle, idx)?;
+                let acc = fold_payload(acc, idx, job_count, &block[format::CHUNK_HEADER_LEN..])?;
+                Ok((handle, acc))
+            },
+        )?;
+        Ok(workers
+            .into_iter()
+            .map(|(_, acc)| acc)
+            .reduce(merge)
+            .unwrap_or_else(init))
     }
 
     /// Compute the Table 1 row by actually scanning every chunk in
